@@ -19,6 +19,9 @@ use nrscope_analytics::report;
 use nrscope_bench::SessionSpec;
 use ue_sim::traffic::TrafficKind;
 
+/// IQ slots (each carrying live DCIs) averaged per plotted point.
+const SLOTS_PER_POINT: usize = 64;
+
 /// Capture a handful of IQ slots (with live DCIs) from a loaded cell.
 fn capture(cell: &CellConfig, n_slots: usize, seed: u64) -> Vec<(ObservedSlot, usize)> {
     let mut spec = SessionSpec::new(cell.clone());
@@ -89,12 +92,13 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     println!("host_cores {cores}  (the paper's 4-thread speedup needs >= 4 cores; on fewer, sharding only adds overhead)");
+    println!("slots_per_point {SLOTS_PER_POINT}");
     let cases = [
         ("Amarisoft 20MHz", CellConfig::amarisoft_n78(), 1u64),
         ("T-Mobile 10MHz", CellConfig::tmobile_n25(), 2u64),
     ];
     for (name, cell, seed) in cases {
-        let slots = capture(&cell, 6, seed);
+        let slots = capture(&cell, SLOTS_PER_POINT, seed);
         let ctx = DecoderContext {
             coreset: cell.coreset,
             pci: cell.pci.0,

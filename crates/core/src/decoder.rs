@@ -499,7 +499,7 @@ fn decode_soft_candidate_common(
         if k >= level.bits() {
             continue;
         }
-        let code = PolarCode::new(k, level.bits());
+        let code = PolarCode::shared(k, level.bits());
         let cw = code.decode_sc(llrs_common);
         let common_hyps = std::iter::once((Rnti::SI, RntiType::Si))
             .chain(hyp.ra_rntis.iter().map(|r| (*r, RntiType::Ra)))
@@ -550,19 +550,22 @@ fn decode_soft_candidate_ue(
 ) -> Option<DecodedDci> {
     let sizes = ctx.sizes_for_ue()?;
     let common_seq = gold_bits_cached(common_cinit, llrs_common.len());
+    // One descrambled-LLR buffer per candidate, rewritten per RNTI.
+    let mut llrs = vec![0.0f32; llrs_common.len()];
     for &rnti in &hyp.c_rntis {
         let ue_seq = gold_bits_cached(search_space_cinit(rnti, true, ctx.pci), llrs_common.len());
-        let llrs: Vec<f32> = llrs_common
-            .iter()
-            .zip(common_seq.iter().zip(ue_seq.iter()))
-            .map(|(l, (a, b))| if a == b { *l } else { -*l })
-            .collect();
+        for (out, (l, (a, b))) in llrs
+            .iter_mut()
+            .zip(llrs_common.iter().zip(common_seq.iter().zip(ue_seq.iter())))
+        {
+            *out = if a == b { *l } else { -*l };
+        }
         for &payload_bits in &sizes {
             let k = payload_bits + 24;
             if k >= level.bits() {
                 continue;
             }
-            let code = PolarCode::new(k, level.bits());
+            let code = PolarCode::shared(k, level.bits());
             let cw = code.decode_sc(&llrs);
             if let Some(payload) = dci_check_crc(&cw, rnti.0) {
                 if let Some(d) = unpack_at(

@@ -1601,7 +1601,7 @@ fn try_decode_pbch(grid: &ResourceGrid, pci: Pci) -> Option<Mib> {
         }
     }
     let k = nr_rrc::Mib::BITS + 24;
-    let code = nr_phy::polar::PolarCode::new(k, crate::pbch_e_bits());
+    let code = nr_phy::polar::PolarCode::shared(k, crate::pbch_e_bits());
     let cw = code.decode_sc(&llrs);
     let payload = nr_phy::crc::dci_check_crc(&cw, 0)?;
     Mib::decode(&payload).ok()

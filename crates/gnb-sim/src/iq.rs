@@ -24,7 +24,7 @@ use nr_phy::types::Pci;
 use nr_phy::types::Rnti;
 
 /// Number of bits the PBCH carries after polar coding (E for the MIB).
-pub const PBCH_E_BITS: usize = 864;
+pub const PBCH_E_BITS: usize = nr_phy::polar::PBCH_E_BITS;
 
 /// Renders slots of one cell to IQ.
 pub struct IqRenderer {
@@ -93,7 +93,7 @@ impl IqRenderer {
         // symbols 1 and 3 (and the SSS symbol's side PRBs are left empty —
         // a simplification of the 38.211 PBCH RE layout).
         let cw = dci_attach_crc(mib_bits, 0); // PBCH CRC is unscrambled (RNTI 0)
-        let code = PolarCode::new(cw.len(), PBCH_E_BITS);
+        let code = PolarCode::shared(cw.len(), PBCH_E_BITS);
         let mut bits = code.encode(&cw);
         // Cell-scoped scrambling so neighbouring cells don't alias.
         let scr = gold_bits(pci.0 as u32, bits.len());

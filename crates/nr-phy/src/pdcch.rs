@@ -282,7 +282,7 @@ pub fn encode_pdcch(
 ) {
     let e = alloc.level.bits();
     let cw = dci_attach_crc(payload, alloc.rnti.0);
-    let code = PolarCode::new(cw.len(), e);
+    let code = PolarCode::shared(cw.len(), e);
     let mut bits = code.encode(&cw);
     scramble_in_place(&mut bits, c_init);
     let symbols = modulate(&bits, Modulation::Qpsk);
@@ -397,7 +397,7 @@ pub fn decode_candidate_for_rnti(
     if k >= level.bits() {
         return None;
     }
-    let code = PolarCode::new(k, level.bits());
+    let code = PolarCode::shared(k, level.bits());
     let cw = code.decode_sc(&soft.llrs);
     let payload = dci_check_crc(&cw, rnti.0)?;
     Some(BlindDecodeResult {
@@ -421,7 +421,7 @@ pub fn decode_candidate_recover_rnti(
     if k >= level.bits() {
         return None;
     }
-    let code = PolarCode::new(k, level.bits());
+    let code = PolarCode::shared(k, level.bits());
     let cw = code.decode_sc(&soft.llrs);
     let rnti = dci_recover_rnti(&cw)?;
     let payload = cw[..payload_bits].to_vec();

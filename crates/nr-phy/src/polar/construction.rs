@@ -4,6 +4,16 @@
 //! `b_{n-1}…b_0` is `W(i) = Σ_j b_j · β^j` with `β = 2^{1/4}` — the method
 //! the 3GPP universal reliability sequence was derived from (Huawei
 //! R1-1708833). Larger weight ⇒ more reliable synthetic channel.
+//!
+//! The weight of an index does not depend on the code length, so the
+//! order is nested: the order for any `n` is the order for [`N_MAX`]
+//! restricted to indices below `n`. It is sorted once per process.
+
+use super::ratematch::N_MAX_DCI;
+use std::sync::OnceLock;
+
+/// Largest mother code length the order is built for (`2^N_MAX_DCI`).
+pub const N_MAX: usize = 1 << N_MAX_DCI;
 
 /// Polarization weight of one index.
 pub fn polarization_weight(index: usize) -> f64 {
@@ -21,17 +31,38 @@ pub fn polarization_weight(index: usize) -> f64 {
     w
 }
 
-/// All indices `0..n` sorted by ascending reliability (least reliable
-/// first). Ties (which occur only between identical weights of distinct
-/// indices — rare under β-expansion) break by index for determinism.
-pub fn reliability_order(n: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&a, &b| {
-        polarization_weight(a)
-            .total_cmp(&polarization_weight(b))
-            .then(a.cmp(&b))
-    });
-    idx
+/// Indices `0..N_MAX` by ascending reliability, computed once per process.
+///
+/// The order is *nested*: `polarization_weight(i)` does not depend on the
+/// code length, so sorting `0..n` by the same total order (weight, then
+/// index) yields exactly the subsequence of this order below `n`. Every
+/// `n ≤ N_MAX` therefore reads its order from this one sort.
+fn nested_order() -> &'static [u16] {
+    static ORDER: OnceLock<Vec<u16>> = OnceLock::new();
+    ORDER.get_or_init(|| {
+        let weights: Vec<f64> = (0..N_MAX).map(polarization_weight).collect();
+        let mut idx: Vec<u16> = (0..N_MAX as u16).collect();
+        idx.sort_by(|&a, &b| {
+            weights[a as usize]
+                .total_cmp(&weights[b as usize])
+                .then(a.cmp(&b))
+        });
+        idx
+    })
+}
+
+/// Indices `0..n` by ascending reliability (least reliable first), read
+/// from the nested order. Ties (which occur only between identical weights
+/// of distinct indices — rare under β-expansion) break by index for
+/// determinism.
+///
+/// Panics if `n > N_MAX`.
+pub fn reliability_order(n: usize) -> impl DoubleEndedIterator<Item = usize> {
+    assert!(n <= N_MAX, "reliability order covers n <= {N_MAX} (n={n})");
+    nested_order()
+        .iter()
+        .map(|&i| usize::from(i))
+        .filter(move |&i| i < n)
 }
 
 /// Choose the `k` information positions for a mother code of length `n`,
@@ -44,12 +75,9 @@ pub fn info_positions(n: usize, k: usize, pre_frozen: &[usize]) -> Vec<usize> {
     for &p in pre_frozen {
         frozen[p] = true;
     }
-    let order = reliability_order(n);
     // Walk from the most reliable end, taking k non-pre-frozen positions.
-    let mut picked: Vec<usize> = order
-        .iter()
+    let mut picked: Vec<usize> = reliability_order(n)
         .rev()
-        .copied()
         .filter(|&p| !frozen[p])
         .take(k)
         .collect();
@@ -60,6 +88,43 @@ pub fn info_positions(n: usize, k: usize, pre_frozen: &[usize]) -> Vec<usize> {
     );
     picked.sort_unstable();
     picked
+}
+
+/// The per-length sort the nested order replaces, kept as the reference
+/// the property tests compare against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::polarization_weight;
+
+    /// All indices `0..n` sorted by ascending reliability, sorted for this
+    /// `n` alone.
+    pub fn reliability_order(n: usize) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..n).collect();
+        idx.sort_by(|&a, &b| {
+            polarization_weight(a)
+                .total_cmp(&polarization_weight(b))
+                .then(a.cmp(&b))
+        });
+        idx
+    }
+
+    /// [`super::info_positions`] over a given ascending-reliability order.
+    pub fn info_positions_in(order: &[usize], k: usize, pre_frozen: &[usize]) -> Vec<usize> {
+        let mut frozen = vec![false; order.len()];
+        for &p in pre_frozen {
+            frozen[p] = true;
+        }
+        let mut picked: Vec<usize> = order
+            .iter()
+            .rev()
+            .copied()
+            .filter(|&p| !frozen[p])
+            .take(k)
+            .collect();
+        assert_eq!(picked.len(), k);
+        picked.sort_unstable();
+        picked
+    }
 }
 
 #[cfg(test)]
@@ -75,7 +140,7 @@ mod tests {
 
     #[test]
     fn index_zero_is_least_reliable_and_max_is_most() {
-        let order = reliability_order(64);
+        let order: Vec<usize> = reliability_order(64).collect();
         assert_eq!(order[0], 0, "all-frozen index 0 must be least reliable");
         assert_eq!(*order.last().unwrap(), 63, "index N-1 most reliable");
     }
@@ -89,7 +154,8 @@ mod tests {
 
     #[test]
     fn order_is_a_permutation() {
-        let order = reliability_order(128);
+        let order: Vec<usize> = reliability_order(128).collect();
+        assert_eq!(order.len(), 128);
         let mut seen = vec![false; 128];
         for &i in &order {
             assert!(!seen[i]);
@@ -116,6 +182,20 @@ mod tests {
         // The four most reliable β-expansion indices of N=32 include 31 and 30.
         assert!(pos.contains(&31));
         assert!(pos.contains(&30));
+    }
+
+    #[test]
+    fn nested_order_equals_per_length_sort_for_every_length() {
+        for n in 1..=N_MAX {
+            let nested: Vec<usize> = reliability_order(n).collect();
+            assert_eq!(nested, reference::reliability_order(n), "n={n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "reliability order covers")]
+    fn order_beyond_the_largest_mother_code_panics() {
+        let _ = reliability_order(2 * N_MAX);
     }
 
     #[test]

@@ -24,21 +24,33 @@ fn g_op(a: f32, b: f32, u: u8) -> f32 {
 /// Plain SC decoding. `llrs.len()` must equal `info_mask.len()` and be a
 /// power of two. Returns the decoded input vector `u` (frozen positions are
 /// zero).
+///
+/// Allocates only its outputs and one workspace of `N − 1` LLRs, which
+/// holds the child LLRs of every tree level stacked (`N/2`, `N/4`, …, 1).
 pub fn sc_decode(llrs: &[f32], info_mask: &[bool]) -> Vec<u8> {
     let n = llrs.len();
     assert_eq!(n, info_mask.len());
     assert!(n.is_power_of_two());
     let mut u = vec![0u8; n];
     let mut x = vec![0u8; n];
-    sc_recurse(llrs, info_mask, 0, &mut u, &mut x);
+    let mut work = vec![0.0f32; n - 1];
+    sc_node(llrs, &mut work, info_mask, 0, &mut u, &mut x);
     u
 }
 
-/// Recursive SC over a subtree. `offset` is the subtree's first input index.
-/// Fills `u[offset..offset+len]` with decisions and `x[offset..offset+len]`
-/// with the re-encoded codeword of this subtree (needed by the parent's
-/// g-stage). Returns nothing; operates through the two output slices.
-fn sc_recurse(llrs: &[f32], info_mask: &[bool], offset: usize, u: &mut [u8], x: &mut [u8]) {
+/// SC over the subtree whose LLRs are `llrs` and whose first input index
+/// is `offset`. The child LLRs go to the head of `work`; the rest of
+/// `work` is the deeper levels' space. Fills `u[offset..offset+len]` with
+/// decisions and `x[offset..offset+len]` with the re-encoded codeword of
+/// this subtree (needed by the parent's g-stage).
+fn sc_node(
+    llrs: &[f32],
+    work: &mut [f32],
+    info_mask: &[bool],
+    offset: usize,
+    u: &mut [u8],
+    x: &mut [u8],
+) {
     let len = llrs.len();
     if len == 1 {
         let bit = if info_mask[offset] {
@@ -51,17 +63,61 @@ fn sc_recurse(llrs: &[f32], info_mask: &[bool], offset: usize, u: &mut [u8], x: 
         return;
     }
     let half = len / 2;
+    let (child, deeper) = work.split_at_mut(half);
+    let (a, b) = llrs.split_at(half);
     // Left child sees f(a_i, b_i).
-    let left_llrs: Vec<f32> = (0..half).map(|i| f_op(llrs[i], llrs[i + half])).collect();
-    sc_recurse(&left_llrs, info_mask, offset, u, x);
+    for ((c, &ai), &bi) in child.iter_mut().zip(a).zip(b) {
+        *c = f_op(ai, bi);
+    }
+    sc_node(child, deeper, info_mask, offset, u, x);
     // Right child sees g(a_i, b_i, x_left_i).
-    let right_llrs: Vec<f32> = (0..half)
-        .map(|i| g_op(llrs[i], llrs[i + half], x[offset + i]))
-        .collect();
-    sc_recurse(&right_llrs, info_mask, offset + half, u, x);
+    for (i, c) in child.iter_mut().enumerate() {
+        *c = g_op(a[i], b[i], x[offset + i]);
+    }
+    sc_node(child, deeper, info_mask, offset + half, u, x);
     // Recombine: x_parent = [x_left ⊕ x_right, x_right].
     for i in 0..half {
         x[offset + i] ^= x[offset + half + i];
+    }
+}
+
+/// The allocating recursive SC the workspace decoder replaces, kept as the
+/// reference the property tests compare against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{f_op, g_op};
+
+    /// Plain SC with two fresh child-LLR vectors per tree node.
+    pub fn sc_decode(llrs: &[f32], info_mask: &[bool]) -> Vec<u8> {
+        let n = llrs.len();
+        let mut u = vec![0u8; n];
+        let mut x = vec![0u8; n];
+        sc_recurse(llrs, info_mask, 0, &mut u, &mut x);
+        u
+    }
+
+    fn sc_recurse(llrs: &[f32], info_mask: &[bool], offset: usize, u: &mut [u8], x: &mut [u8]) {
+        let len = llrs.len();
+        if len == 1 {
+            let bit = if info_mask[offset] {
+                u8::from(llrs[0] < 0.0)
+            } else {
+                0
+            };
+            u[offset] = bit;
+            x[offset] = bit;
+            return;
+        }
+        let half = len / 2;
+        let left_llrs: Vec<f32> = (0..half).map(|i| f_op(llrs[i], llrs[i + half])).collect();
+        sc_recurse(&left_llrs, info_mask, offset, u, x);
+        let right_llrs: Vec<f32> = (0..half)
+            .map(|i| g_op(llrs[i], llrs[i + half], x[offset + i]))
+            .collect();
+        sc_recurse(&right_llrs, info_mask, offset + half, u, x);
+        for i in 0..half {
+            x[offset + i] ^= x[offset + half + i];
+        }
     }
 }
 
@@ -221,6 +277,31 @@ mod tests {
         for i in 0..cands.len() {
             for j in i + 1..cands.len() {
                 assert_ne!(cands[i], cands[j], "duplicate path");
+            }
+        }
+    }
+
+    #[test]
+    fn workspace_sc_equals_reference_on_random_llrs() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(12);
+        for log_n in 0..=9 {
+            let n = 1usize << log_n;
+            for trial in 0..40 {
+                let mask: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.4)).collect();
+                let llrs: Vec<f32> = (0..n)
+                    .map(|i| match (trial + i) % 7 {
+                        0 => 0.0,
+                        1 => 1.0e9,
+                        _ => rng.gen_range(-8.0..8.0),
+                    })
+                    .collect();
+                assert_eq!(
+                    sc_decode(&llrs, &mask),
+                    reference::sc_decode(&llrs, &mask),
+                    "n={n} trial={trial}"
+                );
             }
         }
     }
