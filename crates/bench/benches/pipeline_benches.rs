@@ -6,16 +6,17 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gnb_sim::CellConfig;
 use nr_phy::dci::DciSizing;
+use nr_phy::ofdm::Ofdm;
 use nr_phy::pdcch::SearchBudget;
 use nr_phy::types::Rnti;
 use nrscope::decoder::{DecoderContext, Hypotheses};
 use nrscope::observe::{ObservedSlot, Observer};
 use nrscope::throughput::RateWindow;
-use nrscope::worker::{process_slot, JobPriority, SlotJob};
+use nrscope::worker::{process_slot, SlotJob};
 use nrscope_bench::SessionSpec;
 use ue_sim::traffic::TrafficKind;
 
-fn capture_slot(iq: bool) -> (ObservedSlot, usize, DecoderContext) {
+fn capture_slot(iq: bool) -> (ObservedSlot, usize, Option<Ofdm>, DecoderContext) {
     let cell = CellConfig::amarisoft_n78();
     let mut spec = SessionSpec::new(cell.clone());
     spec.n_ues = 4;
@@ -40,7 +41,8 @@ fn capture_slot(iq: bool) -> (ObservedSlot, usize, DecoderContext) {
                 }),
             };
             let sif = out.slot_in_frame;
-            return (obs.observe(&out, 0.0), sif, ctx);
+            let ofdm = iq.then(|| Ofdm::new(cell.numerology, cell.carrier_prbs));
+            return (obs.observe(&out, 0.0), sif, ofdm, ctx);
         }
     }
 }
@@ -48,14 +50,15 @@ fn capture_slot(iq: bool) -> (ObservedSlot, usize, DecoderContext) {
 fn job(
     observed: &ObservedSlot,
     sif: usize,
+    ofdm: &Option<Ofdm>,
     ctx: &DecoderContext,
     ues: usize,
     threads: usize,
 ) -> SlotJob {
     SlotJob {
-        slot: 0,
         slot_in_frame: sif,
         observed: observed.clone(),
+        ofdm: ofdm.clone(),
         ctx: ctx.clone(),
         hyp: Hypotheses {
             c_rntis: (0..ues).map(|i| Rnti(0x4601 + i as u16)).collect(),
@@ -63,18 +66,16 @@ fn job(
             ..Hypotheses::default()
         },
         dci_threads: threads,
-        fault: None,
-        priority: JobPriority::Data,
         budget: SearchBudget::unlimited(),
     }
 }
 
 fn bench_message_slot(c: &mut Criterion) {
-    let (observed, sif, ctx) = capture_slot(false);
+    let (observed, sif, ofdm, ctx) = capture_slot(false);
     let mut group = c.benchmark_group("slot_message");
     for ues in [4usize, 16, 64] {
         group.bench_with_input(BenchmarkId::new("1thread", ues), &ues, |b, &u| {
-            let j = job(&observed, sif, &ctx, u, 1);
+            let j = job(&observed, sif, &ofdm, &ctx, u, 1);
             b.iter(|| process_slot(&j))
         });
     }
@@ -82,7 +83,7 @@ fn bench_message_slot(c: &mut Criterion) {
 }
 
 fn bench_iq_slot(c: &mut Criterion) {
-    let (observed, sif, ctx) = capture_slot(true);
+    let (observed, sif, ofdm, ctx) = capture_slot(true);
     let mut group = c.benchmark_group("slot_iq");
     group.sample_size(20);
     for (ues, threads) in [(4usize, 1usize), (64, 1), (64, 4)] {
@@ -90,7 +91,7 @@ fn bench_iq_slot(c: &mut Criterion) {
             BenchmarkId::new(format!("{threads}thread"), ues),
             &ues,
             |b, &u| {
-                let j = job(&observed, sif, &ctx, u, threads);
+                let j = job(&observed, sif, &ofdm, &ctx, u, threads);
                 b.iter(|| process_slot(&j))
             },
         );

@@ -3,17 +3,19 @@
 //!
 //! The computation is the paper's §5.3.2 `O(n log n + m)`: per-slot
 //! FFT/demodulation plus per-known-UE DCI decoding. Run at IQ fidelity so
-//! both terms are real work. Also exercises the `--decode-rrc-always`
-//! ablation (DESIGN.md): the cost of re-decoding the RRC Setup PDSCH for
-//! every discovered UE instead of using the cache.
+//! both terms are real work. Each job carries the cell preset's own OFDM
+//! layout, and every series reports how many of the transmitted DCIs it
+//! decoded: the binary exits non-zero if any series decodes nothing, so a
+//! timing of a decoder that does no work is never plotted.
 
 use gnb_sim::CellConfig;
 use nr_phy::dci::DciSizing;
+use nr_phy::ofdm::Ofdm;
 use nr_phy::pdcch::SearchBudget;
 use nr_phy::types::Rnti;
 use nrscope::decoder::{DecoderContext, Hypotheses};
 use nrscope::observe::{ObservedSlot, Observer};
-use nrscope::worker::{process_slot, JobPriority, SlotJob};
+use nrscope::worker::{process_slot, SlotJob};
 use nrscope::Fidelity;
 use nrscope_analytics::report;
 use nrscope_bench::SessionSpec;
@@ -22,8 +24,9 @@ use ue_sim::traffic::TrafficKind;
 /// IQ slots (each carrying live DCIs) averaged per plotted point.
 const SLOTS_PER_POINT: usize = 64;
 
-/// Capture a handful of IQ slots (with live DCIs) from a loaded cell.
-fn capture(cell: &CellConfig, n_slots: usize, seed: u64) -> Vec<(ObservedSlot, usize)> {
+/// Capture a handful of IQ slots (with live DCIs) from a loaded cell;
+/// returns them with the number of DCIs the gNB transmitted in them.
+fn capture(cell: &CellConfig, n_slots: usize, seed: u64) -> (Vec<(ObservedSlot, usize)>, usize) {
     let mut spec = SessionSpec::new(cell.clone());
     spec.n_ues = 4;
     spec.fidelity = Fidelity::Message; // drive the gNB cheaply first
@@ -38,6 +41,7 @@ fn capture(cell: &CellConfig, n_slots: usize, seed: u64) -> Vec<(ObservedSlot, u
     let mut out = Vec::new();
     let slot_s = cell.slot_s();
     let mut s = 0u64;
+    let mut transmitted = 0;
     while out.len() < n_slots {
         let slot = gnb.step();
         let sif = slot.slot_in_frame;
@@ -45,27 +49,31 @@ fn capture(cell: &CellConfig, n_slots: usize, seed: u64) -> Vec<(ObservedSlot, u
             s += 1;
             continue;
         }
+        transmitted += slot.dcis.len();
         out.push((observer.observe(&slot, s as f64 * slot_s), sif));
         s += 1;
     }
-    out
+    (out, transmitted)
 }
 
+/// Mean processing time of the slots, in µs, and the DCIs decoded in them.
 fn mean_processing_us(
     slots: &[(ObservedSlot, usize)],
+    ofdm: &Ofdm,
     ctx: &DecoderContext,
     n_ues: usize,
     threads: usize,
-) -> f64 {
+) -> (f64, usize) {
     // Hypothesis list of n_ues RNTIs (real ones may be among them; cost is
     // what matters and it is per-hypothesis).
     let c_rntis: Vec<Rnti> = (0..n_ues).map(|i| Rnti(0x4601 + i as u16)).collect();
     let mut total_us = 0.0;
+    let mut decoded = 0;
     for (observed, slot_in_frame) in slots {
         let job = SlotJob {
-            slot: 0,
             slot_in_frame: *slot_in_frame,
             observed: observed.clone(),
+            ofdm: Some(ofdm.clone()),
             ctx: ctx.clone(),
             hyp: Hypotheses {
                 c_rntis: c_rntis.clone(),
@@ -73,14 +81,13 @@ fn mean_processing_us(
                 ..Hypotheses::default()
             },
             dci_threads: threads,
-            fault: None,
-            priority: JobPriority::Data,
             budget: SearchBudget::unlimited(),
         };
         let r = process_slot(&job);
         total_us += r.processing.as_secs_f64() * 1e6;
+        decoded += r.decoded.len();
     }
-    total_us / slots.len() as f64
+    (total_us / slots.len() as f64, decoded)
 }
 
 fn main() {
@@ -97,8 +104,10 @@ fn main() {
         ("Amarisoft 20MHz", CellConfig::amarisoft_n78(), 1u64),
         ("T-Mobile 10MHz", CellConfig::tmobile_n25(), 2u64),
     ];
+    let mut idle_series = Vec::new();
     for (name, cell, seed) in cases {
-        let slots = capture(&cell, SLOTS_PER_POINT, seed);
+        let (slots, transmitted) = capture(&cell, SLOTS_PER_POINT, seed);
+        let ofdm = Ofdm::new(cell.numerology, cell.carrier_prbs);
         let ctx = DecoderContext {
             coreset: cell.coreset,
             pci: cell.pci.0,
@@ -110,16 +119,30 @@ fn main() {
             }),
         };
         for threads in [1usize, 4] {
+            let label = format!("{name}, {threads} thread(s) (us)");
+            let mut decoded = Vec::new();
             let series: Vec<(f64, f64)> = [1usize, 2, 4, 8, 16, 32, 64, 128]
                 .iter()
-                .map(|&m| (m as f64, mean_processing_us(&slots, &ctx, m, threads)))
+                .map(|&m| {
+                    let (us, n) = mean_processing_us(&slots, &ofdm, &ctx, m, threads);
+                    decoded.push(n);
+                    (m as f64, us)
+                })
                 .collect();
+            print!("{}", report::series(&label, &series, 8));
+            let counts: Vec<String> = decoded.iter().map(|n| n.to_string()).collect();
             println!(
-                "{}",
-                report::series(&format!("{name}, {threads} thread(s) (us)"), &series, 8)
+                "  decoded_dcis per point: {} (of {transmitted} transmitted)\n",
+                counts.join(" ")
             );
+            if decoded.iter().all(|&n| n == 0) {
+                idle_series.push(label);
+            }
         }
     }
-    println!();
     println!("paper: linear growth with UE count; four threads keep 20 MHz under one TTI up to ~195-285 UEs");
+    if !idle_series.is_empty() {
+        eprintln!("series decoded no DCI at all: {}", idle_series.join("; "));
+        std::process::exit(1);
+    }
 }

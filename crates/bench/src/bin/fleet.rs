@@ -31,7 +31,7 @@ use gnb_sim::{CellConfig, MultiCellSim};
 use nr_phy::channel::ChannelProfile;
 use nr_phy::types::Pci;
 use nrscope::observe::Observer;
-use nrscope::worker::InjectedFault;
+use nrscope::InjectedFault;
 use nrscope::{
     FaultPlan, Fidelity, Fleet, FleetConfig, FleetSnapshot, GovernorConfig, PersistConfig,
     ScopeConfig, ShardSpec,

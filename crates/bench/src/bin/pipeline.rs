@@ -5,13 +5,12 @@
 //! baseline (overhead check), DCIs decoded, and per-stage
 //! count/mean/p50/p99 for every instrumented stage.
 //!
-//! Three phases share one registry so a single snapshot covers the whole
+//! Two phases share one registry so a single snapshot covers the whole
 //! pipeline:
 //!   1. message-fidelity lock-step run (capture, PDCCH search, DCI decode,
 //!      classify, tracking, slot envelope) — timed twice, metrics off then
 //!      on, for the overhead figure;
-//!   2. worker-pool run over the same cell (queue wait, queue depth);
-//!   3. short IQ run (radio capture, OFDM demod).
+//!   2. short IQ run (radio capture, OFDM demod).
 //!
 //! `--short` (or `NRSCOPE_SECONDS`) shrinks the run for CI smoke tests.
 //!
@@ -28,7 +27,6 @@ use gnb_sim::{CellConfig, Gnb};
 use nr_mac::RoundRobin;
 use nr_phy::channel::ChannelProfile;
 use nrscope::observe::Observer;
-use nrscope::worker::{PoolConfig, WorkerPool};
 use nrscope::{
     Fidelity, LoadRung, Metrics, NrScope, PersistConfig, PersistentSession, ScopeConfig,
 };
@@ -79,14 +77,8 @@ fn build_gnb(cell: &CellConfig, n_ues: usize, active_s: f64, seed: u64) -> Gnb {
     gnb
 }
 
-/// Message-fidelity lock-step run; returns (slots, wall seconds) plus the
-/// live session for the pool phase.
-fn message_phase(
-    cell: &CellConfig,
-    seconds: f64,
-    seed: u64,
-    metrics: Arc<Metrics>,
-) -> (u64, f64, Gnb, Observer, NrScope) {
+/// Message-fidelity lock-step run; returns (slots, wall seconds).
+fn message_phase(cell: &CellConfig, seconds: f64, seed: u64, metrics: Arc<Metrics>) -> (u64, f64) {
     let slot_s = cell.slot_s();
     let slots = (seconds / slot_s).round() as u64;
     let mut gnb = build_gnb(cell, 4, seconds + 10.0, seed);
@@ -104,29 +96,7 @@ fn message_phase(
         let observed = observer.observe(&out, s as f64 * slot_s);
         scope.process(&observed);
     }
-    (slots, t0.elapsed().as_secs_f64(), gnb, observer, scope)
-}
-
-/// Feed further slots from the live session through a metered worker pool
-/// (populates the queue-wait stage and queue-depth gauge).
-fn pool_phase(
-    gnb: &mut Gnb,
-    observer: &mut Observer,
-    scope: &NrScope,
-    slot_s: f64,
-    start_slot: u64,
-    n_jobs: u64,
-    metrics: Arc<Metrics>,
-) -> usize {
-    let mut pool = WorkerPool::with_metrics(PoolConfig::new(2), metrics);
-    for s in 0..n_jobs {
-        let out = gnb.step();
-        let observed = observer.observe(&out, (start_slot + s) as f64 * slot_s);
-        if let Some(job) = scope.slot_job(observed) {
-            let _ = pool.submit(job);
-        }
-    }
-    pool.finish().len()
+    (slots, t0.elapsed().as_secs_f64())
 }
 
 /// Sustained slots/sec with the degradation ladder pinned at each rung:
@@ -261,9 +231,7 @@ fn main() {
     let short = std::env::args().any(|a| a == "--short");
     let seconds = capture_seconds(if short { 2.0 } else { 10.0 });
     let iq_slots: u64 = if short { 100 } else { 400 };
-    let pool_jobs: u64 = if short { 500 } else { 2000 };
     let cell = CellConfig::srsran_n41();
-    let slot_s = cell.slot_s();
 
     let reps: usize = if short { 2 } else { 3 };
 
@@ -275,29 +243,20 @@ fn main() {
     // cold pair used to report negative overheads because whichever
     // variant ran second won on warmed caches. Each repeat is identical
     // (same seed), so the fastest wall time per variant is its
-    // steady-state cost. The *last* instrumented run's registry and live
-    // session are kept for the pool/IQ phases.
+    // steady-state cost. The *last* instrumented run's registry is kept
+    // for the IQ phase.
     let mut wall_off = f64::INFINITY;
     let mut wall_on = f64::INFINITY;
     let mut kept = None;
     for _ in 0..reps {
-        let (_, w_off, _, _, _) = message_phase(&cell, seconds, 1, Metrics::shared(false));
+        let (_, w_off) = message_phase(&cell, seconds, 1, Metrics::shared(false));
         wall_off = wall_off.min(w_off);
         let m = Metrics::shared(true);
-        let (slots, w_on, gnb, observer, scope) = message_phase(&cell, seconds, 1, Arc::clone(&m));
+        let (slots, w_on) = message_phase(&cell, seconds, 1, Arc::clone(&m));
         wall_on = wall_on.min(w_on);
-        kept = Some((slots, gnb, observer, scope, m));
+        kept = Some((slots, m));
     }
-    let (slots, mut gnb, mut observer, scope, metrics) = kept.expect("reps >= 1");
-    let pool_results = pool_phase(
-        &mut gnb,
-        &mut observer,
-        &scope,
-        slot_s,
-        slots,
-        pool_jobs,
-        Arc::clone(&metrics),
-    );
+    let (slots, metrics) = kept.expect("reps >= 1");
     iq_phase(&cell, iq_slots, 3, Arc::clone(&metrics));
     let rung_slots: u64 = if short { 400 } else { 6000 };
     let rung_rates = rung_phase(&cell, rung_slots, 5);
@@ -345,8 +304,6 @@ fn main() {
             "  \"slots_per_sec_metrics_off\": {sps_off:.1},\n",
             "  \"metrics_overhead_pct\": {ovh:.2},\n",
             "  \"dcis_decoded\": {dcis},\n",
-            "  \"pool_jobs\": {pool_jobs},\n",
-            "  \"pool_results\": {pool_results},\n",
             "  \"rung_slots_per_sec\": {{{rungs}}},\n",
             "  \"persist_slots\": {persist_slots},\n",
             "  \"persist_baseline_slots_per_sec\": {base_sps:.1},\n",
@@ -372,8 +329,6 @@ fn main() {
         sps_off = slots_per_sec_off,
         ovh = overhead_pct,
         dcis = dcis,
-        pool_jobs = pool_jobs,
-        pool_results = pool_results,
         rungs = rung_json,
         persist_slots = persist_slots,
         base_sps = base_sps,
@@ -395,7 +350,6 @@ fn main() {
         "  slots/sec          {slots_per_sec:>12.1}  (metrics off {slots_per_sec_off:.1}, overhead {overhead_pct:+.2}%)"
     );
     println!("  dcis decoded       {dcis:>12}");
-    println!("  pool jobs/results  {pool_jobs:>6}/{pool_results}");
     for (name, rate) in &rung_rates {
         println!("  slots/sec @ {name:<15} {rate:>10.1}");
     }

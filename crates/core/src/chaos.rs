@@ -33,6 +33,7 @@ use crate::scope::SyncState;
 use crate::supervise::{RestartCause, SlotOutcome, Supervisor};
 use nr_phy::types::Rnti;
 use nr_radio::impairment::ImpairmentSchedule;
+use nr_radio::{splitmix64, GOLDEN};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -41,14 +42,6 @@ use std::time::Instant;
 /// [`run_child`](crate::supervise::run_child) arms the scripted faults it
 /// describes.
 pub const CHAOS_PLAN_FILE: &str = "chaos_plan.json";
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 // ---------------------------------------------------------------------------
 // Hang injection
@@ -294,7 +287,11 @@ impl ChaosSchedule {
     pub fn compose(seed: u64, horizon_slots: u64, arms: ChaosArms) -> ChaosSchedule {
         let h = horizon_slots.max(1_000);
         let mut rng = seed ^ 0x43_48_41_4F_53_21; // "CHAOS!"
-        let mut jitter = |span: u64| splitmix64(&mut rng) % span.max(1);
+        let mut jitter = |span: u64| {
+            let out = splitmix64(rng);
+            rng = rng.wrapping_add(GOLDEN);
+            out % span.max(1)
+        };
         let at = |frac_milli: u64| h * frac_milli / 1000;
 
         let mut s = ChaosSchedule {

@@ -99,8 +99,8 @@ pub struct SuperviseConfig {
     /// granting a single half-open probe restart.
     pub breaker_halfopen_after_slots: u64,
     /// Bound on waiting for a finishing child to exit before the
-    /// supervisor escalates to SIGKILL ([`ChildHandle::wait_timeout`]
-    /// (crate::supervise::ChildHandle::wait_timeout)).
+    /// supervisor escalates to SIGKILL
+    /// ([`ChildHandle::wait_timeout`](crate::supervise::ChildHandle::wait_timeout)).
     pub wait_timeout_ms: u64,
 }
 

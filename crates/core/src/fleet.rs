@@ -23,15 +23,14 @@
 //!   consume at most one worker, and the supervisor spawns a replacement
 //!   so fleet capacity is restored while the stuck thread drains.
 //! * **Supervised warm restarts.** Panics are caught per slot
-//!   (`catch_unwind`, as in [`crate::worker`]); wedges are detected by a
-//!   watchdog (busy-timestamp fencing, as in [`crate::worker`]'s pool)
-//!   and the engine generation is bumped so the stuck worker discards its
-//!   fenced engine on wake. Either way the shard's engine is quarantined
-//!   and rebuilt — durable shards resume from their own checkpoint +
-//!   journal at the exact slot they had journalled (missed slots are
-//!   gap-filled as drops, the [`crate::supervise`] watermark rule, so
-//!   nothing is double-counted) — with exponential backoff between
-//!   consecutive faults and calm-window decay.
+//!   (`catch_unwind`); wedges are detected by a watchdog (busy-timestamp
+//!   fencing) and the engine generation is bumped so the stuck worker
+//!   discards its fenced engine on wake. Either way the shard's engine is
+//!   quarantined and rebuilt — durable shards resume from their own
+//!   checkpoint + journal at the exact slot they had journalled (missed
+//!   slots are gap-filled as drops, the [`crate::supervise`] watermark
+//!   rule, so nothing is double-counted) — with exponential backoff
+//!   between consecutive faults and calm-window decay.
 //! * **Cross-cell UE continuity.** Shards emit [`UeEvent`]s from the
 //!   existing probation/admission machinery; the fleet matches a C-RNTI
 //!   that went quiet on cell A against a fresh admission on cell B within
@@ -47,7 +46,7 @@ use crate::persist::{
 };
 use crate::scope::{NrScope, SyncState, UeEvent};
 use crate::supervise::{BreakerState, RestartBreaker};
-use crate::worker::{spawn_background, InjectedFault};
+use crate::worker::spawn_background;
 use nr_phy::types::{Pci, Rnti};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -195,6 +194,15 @@ impl ShardHealth {
             ShardHealth::Wedged => "wedged",
         }
     }
+}
+
+/// A scripted fault a test can plant in a shard's next slot.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum InjectedFault {
+    /// The slot panics.
+    Panic,
+    /// The slot sleeps this long first (a pathologically slow slot).
+    Delay(Duration),
 }
 
 /// Chaos hook: what to do to a shard's next slot(s).
@@ -814,7 +822,7 @@ impl Fleet {
         }
     }
 
-    /// Shut the pool down, finalise durable shards (flush + final
+    /// Stop the shared workers, finalise durable shards (flush + final
     /// checkpoint), and return the closing rollup.
     pub fn finish(self) -> FleetSnapshot {
         self.shared.shutdown.store(true, SeqCst);
@@ -827,8 +835,8 @@ impl Fleet {
             if h.is_finished() {
                 let _ = h.join();
             }
-            // A still-stuck worker is abandoned, exactly like the slot
-            // pool's bounded shutdown join.
+            // A still-stuck worker is abandoned: shutdown is bounded by
+            // the deadline, not by the slowest slot.
         }
         for s in &self.shared.shards {
             if let Ok(mut cell) = s.engine.try_lock() {
@@ -838,10 +846,6 @@ impl Fleet {
                         &engine,
                         s.degraded.load(Relaxed),
                     );
-                    // The shard's queue is done for — zero its depth gauge
-                    // so a post-shutdown snapshot never reports phantom
-                    // backlog (the worker-pool shutdown rule).
-                    engine.scope().metrics().gauge_set(Gauge::QueueDepth, 0);
                     if let ShardEngine::Durable(session) = engine {
                         let _ = session.finalize();
                     }
@@ -1399,6 +1403,36 @@ mod tests {
         assert_eq!(fleet.shard_status(1).wedges, 0);
         assert!(fleet.quiesce(Duration::from_secs(10)));
         fleet.finish();
+    }
+
+    #[test]
+    fn finish_is_bounded_while_a_shard_is_stuck() {
+        let fleet = Fleet::new(cfg(), vec![spec("a"), spec("b")]).unwrap();
+        fleet.inject_fault(
+            0,
+            FaultPlan::OneShot(InjectedFault::Delay(Duration::from_secs(30))),
+        );
+        for s in 0..50u64 {
+            fleet.feed(0, s, empty_slot());
+            fleet.feed(1, s, empty_slot());
+        }
+        // The sibling drains on the other worker while shard 0 sleeps.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while fleet.rollup().cells[1].slots < 50 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let start = Instant::now();
+        let snap = fleet.finish();
+        let took = start.elapsed();
+        assert!(
+            took < Duration::from_secs(6),
+            "finish took {took:?}: bounded by its 5 s deadline, not the 30 s stall"
+        );
+        assert_eq!(snap.cells.len(), 2);
+        assert_eq!(
+            snap.cells[1].slots, 50,
+            "closing rollup carries the sibling"
+        );
     }
 
     #[test]

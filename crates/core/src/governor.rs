@@ -40,9 +40,10 @@ pub enum LoadRung {
     /// Common search space only: SI/RA/TC decoding and MSG 4 C-RNTI
     /// recovery continue; per-UE telemetry pauses.
     BroadcastOnly = 2,
-    /// Keep-alive floor under extreme overload. Decoding is still
-    /// broadcast-only (the never-go-dark invariant); in addition the worker
-    /// pool may shed queued data-priority jobs.
+    /// Keep-alive floor under extreme overload. Decoding is broadcast-only,
+    /// exactly as at `BroadcastOnly` (the never-go-dark invariant); the
+    /// rung differs only in its place on the ladder — one more promotion
+    /// run to climb back — and its own per-rung latency histogram.
     Shedding = 3,
 }
 
@@ -93,8 +94,7 @@ impl LoadRung {
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct GovernorConfig {
     /// Master switch. Off by default: offline replay (the test suites, the
-    /// benches) has no deadline, the same way `BackpressurePolicy::Block`
-    /// is the lossless offline default. Live capture opts in.
+    /// benches) has no deadline. Live capture opts in.
     pub enabled: bool,
     /// Fraction of the TTI spent on pipeline work before the slot counts
     /// as over budget (the rest is headroom for capture and jitter).

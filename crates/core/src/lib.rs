@@ -14,8 +14,9 @@
 //!    retransmission detection, sliding-window throughput, and fair-share
 //!    spare-capacity estimation.
 //!
-//! The [`worker`] module implements the Fig 4 processing pipeline
-//! (scheduler + worker pool + result queue) with real threads.
+//! The [`worker`] module holds the Fig 4 per-slot work unit (one slot
+//! job, its UE list sharded across DCI threads); the [`fleet`] module's
+//! shared workers schedule the per-cell pipelines.
 
 pub mod binfmt;
 pub mod chaos;
@@ -52,8 +53,8 @@ pub use clock::{
 };
 pub use config::{AdmissionConfig, Fidelity, FleetConfig, ScopeConfig, StoragePolicy};
 pub use fleet::{
-    CellRollup, ContinuityMatch, FaultPlan, FeedOutcome, Fleet, FleetSnapshot, ShardHealth,
-    ShardSpec, ShardStatus,
+    CellRollup, ContinuityMatch, FaultPlan, FeedOutcome, Fleet, FleetSnapshot, InjectedFault,
+    ShardHealth, ShardSpec, ShardStatus,
 };
 pub use governor::{GovernorConfig, LoadModel, LoadRung, OverloadGovernor};
 pub use metrics::{Counter, Gauge, Metrics, MetricsSnapshot, Stage, StageSnapshot};
@@ -64,9 +65,6 @@ pub use persist::{
 };
 pub use scope::{NrScope, ScopeStats, SyncState, UeEvent};
 pub use telemetry::TelemetryRecord;
-pub use worker::{
-    BackpressurePolicy, InjectedFault, JobPriority, PoolConfig, PoolStats, WorkerPool,
-};
 
 /// Rate-matched PBCH bit budget. Must equal the renderer's
 /// (`gnb_sim::iq::PBCH_E_BITS`); asserted in integration tests.

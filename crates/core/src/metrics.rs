@@ -6,8 +6,8 @@
 //! instrument srsRAN/OAI. This registry is designed for the hot path:
 //!
 //! * every instrument is a plain `AtomicU64` updated with `Relaxed`
-//!   ordering — no locks, no allocation, shardable across the worker pool
-//!   by construction (atomic adds commute);
+//!   ordering — no locks, no allocation, shareable across threads by
+//!   construction (atomic adds commute);
 //! * when disabled (the `enabled` flag), timers skip even the
 //!   `Instant::now()` call, so the cost is one relaxed atomic load per
 //!   stage entry — the bench (`BENCH_pipeline.json`) verifies the enabled
@@ -33,8 +33,7 @@ const NOTES_MAX: usize = 16;
 
 /// Pipeline stages with latency histograms. The order is the pipeline
 /// order (Fig 4): radio capture → OFDM demod → PDCCH search → DCI decode →
-/// RNTI classification → UE tracking, plus the worker-queue wait and the
-/// whole-slot envelope.
+/// RNTI classification → UE tracking, plus the whole-slot envelope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Radio front end: rendering/receiving one slot (nr-radio + observer).
@@ -50,8 +49,6 @@ pub enum Stage {
     Classify,
     /// UE tracking housekeeping: expiry, RACH state, throughput pruning.
     Tracking,
-    /// Time a job spent queued before a worker picked it up.
-    WorkerQueue,
     /// Whole-slot processing envelope (everything except capture).
     SlotTotal,
     /// Slot latency while the load governor sat at the `Full` rung.
@@ -77,14 +74,13 @@ pub enum Stage {
 
 impl Stage {
     /// All stages, in pipeline order.
-    pub const ALL: [Stage; 17] = [
+    pub const ALL: [Stage; 16] = [
         Stage::Capture,
         Stage::Demod,
         Stage::PdcchSearch,
         Stage::DciDecode,
         Stage::Classify,
         Stage::Tracking,
-        Stage::WorkerQueue,
         Stage::SlotTotal,
         Stage::RungFull,
         Stage::RungPruned,
@@ -106,7 +102,6 @@ impl Stage {
             Stage::DciDecode => "dci_decode",
             Stage::Classify => "classify",
             Stage::Tracking => "tracking",
-            Stage::WorkerQueue => "worker_queue",
             Stage::SlotTotal => "slot_total",
             Stage::RungFull => "rung_full",
             Stage::RungPruned => "rung_pruned_search",
@@ -144,20 +139,10 @@ pub enum Counter {
     AgcKicks,
     /// Interference bursts (SNR penalties) at the front end.
     InterferenceBursts,
-    /// Jobs shed by the worker pool under backpressure.
-    JobsShed,
-    /// Jobs quarantined after killing a worker.
-    JobsQuarantined,
-    /// Worker panics supervised by the pool.
-    WorkerPanics,
     /// Slots whose processing latency exceeded the TTI budget.
     DeadlineMisses,
     /// UE-specific PDCCH candidates skipped by the search budget.
     CandidatesPruned,
-    /// Data-priority jobs shed while broadcast jobs were protected.
-    PrioritySheds,
-    /// Workers abandoned by the watchdog after stalling past the deadline.
-    WorkerStalls,
     /// Decode steps that failed gracefully (malformed fields, missing
     /// context) instead of crashing the worker.
     DecodeFailures,
@@ -204,17 +189,16 @@ pub enum Counter {
     /// tracking loop's fine range, including reported overrun gaps).
     ClockSteps,
     /// Hangs detected by liveness supervision: a supervised child silent
-    /// past its hang deadline, or a worker abandoned by a watchdog while
-    /// still holding a slot.
+    /// past its hang deadline.
     HangsDetected,
     /// Warm restarts completed by any supervisor (child respawns, shard
-    /// engine rebuilds, worker-pool respawns).
+    /// engine rebuilds).
     RestartsTotal,
 }
 
 impl Counter {
     /// All counters.
-    pub const ALL: [Counter; 36] = [
+    pub const ALL: [Counter; 31] = [
         Counter::SlotsProcessed,
         Counter::SlotsDropped,
         Counter::LayoutMismatches,
@@ -225,13 +209,8 @@ impl Counter {
         Counter::RadioSamples,
         Counter::AgcKicks,
         Counter::InterferenceBursts,
-        Counter::JobsShed,
-        Counter::JobsQuarantined,
-        Counter::WorkerPanics,
         Counter::DeadlineMisses,
         Counter::CandidatesPruned,
-        Counter::PrioritySheds,
-        Counter::WorkerStalls,
         Counter::DecodeFailures,
         Counter::LogWriteFailures,
         Counter::JournalWriteFailures,
@@ -266,13 +245,8 @@ impl Counter {
             Counter::RadioSamples => "radio_samples",
             Counter::AgcKicks => "agc_kicks",
             Counter::InterferenceBursts => "interference_bursts",
-            Counter::JobsShed => "jobs_shed",
-            Counter::JobsQuarantined => "jobs_quarantined",
-            Counter::WorkerPanics => "worker_panics",
             Counter::DeadlineMisses => "deadline_misses",
             Counter::CandidatesPruned => "candidates_pruned",
-            Counter::PrioritySheds => "priority_sheds",
-            Counter::WorkerStalls => "worker_stalls",
             Counter::DecodeFailures => "decode_failures",
             Counter::LogWriteFailures => "log_write_failures",
             Counter::JournalWriteFailures => "journal_write_failures",
@@ -299,12 +273,8 @@ impl Counter {
 /// Last-value gauges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gauge {
-    /// Jobs waiting in the worker pool's bounded queue.
-    QueueDepth,
     /// C-RNTIs currently tracked.
     TrackedUes,
-    /// Live worker threads.
-    WorkersAlive,
     /// Current load-governor rung (0 = Full … 3 = Shedding).
     LoadRung,
     /// Ghost RNTIs currently held in the quarantine ledger.
@@ -314,7 +284,7 @@ pub enum Gauge {
     DurabilityRung,
     /// Magnitude of the estimated sniffer clock drift, in parts-per-
     /// billion (gauges are unsigned; the signed value lives in
-    /// [`crate::scope::NrScope::clock`] state and the fleet rollup).
+    /// [`crate::scope::NrScope::clock_drift_ppb`] and the fleet rollup).
     ClockDriftPpb,
     /// Current clock-lock rung (0 = Locked, 1 = Pulling, 2 = Unlocked).
     ClockLockState,
@@ -328,10 +298,8 @@ pub enum Gauge {
 
 impl Gauge {
     /// All gauges.
-    pub const ALL: [Gauge; 10] = [
-        Gauge::QueueDepth,
+    pub const ALL: [Gauge; 8] = [
         Gauge::TrackedUes,
-        Gauge::WorkersAlive,
         Gauge::LoadRung,
         Gauge::QuarantineSize,
         Gauge::DurabilityRung,
@@ -344,9 +312,7 @@ impl Gauge {
     /// Stable snake_case name used in snapshots and JSON.
     pub fn name(self) -> &'static str {
         match self {
-            Gauge::QueueDepth => "queue_depth",
             Gauge::TrackedUes => "tracked_ues",
-            Gauge::WorkersAlive => "workers_alive",
             Gauge::LoadRung => "load_rung",
             Gauge::QuarantineSize => "quarantine_size",
             Gauge::DurabilityRung => "durability_rung",
@@ -464,7 +430,7 @@ impl StageHisto {
 }
 
 /// The metrics registry: one per telemetry session, shared by `Arc` across
-/// the scope, the observer, the radio front end, and the worker pool.
+/// the scope, the observer, and the radio front end.
 #[derive(Debug)]
 pub struct Metrics {
     enabled: AtomicBool,
@@ -869,10 +835,10 @@ mod tests {
         // and the percentiles must still separate.
         let m = Metrics::new(true);
         for i in 0..100u64 {
-            m.observe(Stage::WorkerQueue, Duration::from_micros(34_000 + 300 * i));
+            m.observe(Stage::SlotTotal, Duration::from_micros(34_000 + 300 * i));
         }
         let snap = m.snapshot();
-        let s = snap.stage("worker_queue").unwrap();
+        let s = snap.stage("slot_total").unwrap();
         assert!(
             s.p99_us > s.p50_us * 1.2,
             "p50 {} and p99 {} collapsed",
@@ -891,10 +857,10 @@ mod tests {
         // recorded maximum.
         let m = Metrics::new(true);
         for _ in 0..10 {
-            m.observe(Stage::WorkerQueue, Duration::from_secs(30));
+            m.observe(Stage::SlotTotal, Duration::from_secs(30));
         }
         let snap = m.snapshot();
-        let s = snap.stage("worker_queue").unwrap();
+        let s = snap.stage("slot_total").unwrap();
         let overflow_lo_us = HISTO_OVERFLOW_NS as f64 / 1e3;
         assert!(s.p50_us >= overflow_lo_us, "p50 {}", s.p50_us);
         assert!(
@@ -911,16 +877,16 @@ mod tests {
         let m = Metrics::shared(true);
         m.inc(Counter::DcisDecoded);
         m.add(Counter::DcisDecoded, 4);
-        m.gauge_set(Gauge::QueueDepth, 17);
+        m.gauge_set(Gauge::TrackedUes, 17);
         assert_eq!(m.counter(Counter::DcisDecoded), 5);
-        assert_eq!(m.gauge(Gauge::QueueDepth), 17);
+        assert_eq!(m.gauge(Gauge::TrackedUes), 17);
     }
 
     #[test]
     fn disabled_registry_records_nothing() {
         let m = Metrics::shared(false);
         m.inc(Counter::DcisDecoded);
-        m.gauge_set(Gauge::QueueDepth, 9);
+        m.gauge_set(Gauge::TrackedUes, 9);
         m.observe(Stage::DciDecode, Duration::from_micros(10));
         {
             let _t = m.start(Stage::Capture);
@@ -980,10 +946,7 @@ mod tests {
         m.observe(Stage::Capture, Duration::from_micros(5));
         let text = m.snapshot().summary();
         assert!(text.contains("capture"));
-        assert!(
-            !text.contains("worker_queue"),
-            "idle stages omitted:\n{text}"
-        );
+        assert!(!text.contains("slot_total"), "idle stages omitted:\n{text}");
     }
 
     #[test]

@@ -45,6 +45,7 @@ use crate::telemetry::TelemetryRecord;
 use crate::throughput::ThroughputState;
 use crate::tracker::{TrackerAux, TrackerState};
 use nr_phy::types::{Pci, Rnti};
+use nr_radio::{splitmix64, GOLDEN};
 use nr_rrc::RrcSetup;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -409,14 +410,6 @@ pub struct StorageFaultSchedule {
     write_eio_prob: f64,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl StorageFaultSchedule {
     /// An empty schedule (no faults) with the given random seed.
     pub fn new(seed: u64) -> StorageFaultSchedule {
@@ -567,7 +560,9 @@ impl FaultyBackend {
             return Some(k);
         }
         if s.schedule.write_eio_prob > 0.0 {
-            let draw = (splitmix64(&mut s.rng) >> 11) as f64 / (1u64 << 53) as f64;
+            let bits = splitmix64(s.rng);
+            s.rng = s.rng.wrapping_add(GOLDEN);
+            let draw = (bits >> 11) as f64 / (1u64 << 53) as f64;
             if draw < s.schedule.write_eio_prob {
                 return Some(FaultKind::WriteEio);
             }
@@ -2894,6 +2889,87 @@ mod tests {
         let (loaded, rejected) = store.load_latest();
         assert_eq!(loaded.unwrap().slot, 300);
         assert_eq!(rejected, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn snapshot_with_removed_pool_fields_still_loads() {
+        // Checkpoints written while the sniffer still had a slot worker
+        // pool carry five more `ScopeStats` fields and the pool's counter,
+        // gauge and stage names. The name-keyed readers skip them.
+        use crate::metrics::{CounterSnapshot, GaugeSnapshot, StageSnapshot};
+        use serde::Content;
+        let dir = tmp_dir("pool-era-snap");
+        let store = SessionStore::new(&dir).unwrap();
+        let scope = NrScope::new(ScopeConfig::default(), Some(Pci(3)));
+        let mut state = scope.session_state();
+        state.slot = 200;
+        state.stats.slots = 200;
+        let m = &mut state.metrics;
+        for c in m
+            .counters
+            .iter_mut()
+            .filter(|c| c.name == "slots_processed")
+        {
+            c.value = 200;
+        }
+        for name in [
+            "jobs_shed",
+            "jobs_quarantined",
+            "worker_panics",
+            "priority_sheds",
+            "worker_stalls",
+        ] {
+            m.counters.push(CounterSnapshot {
+                name: name.into(),
+                value: 1,
+            });
+        }
+        for name in ["queue_depth", "workers_alive"] {
+            m.gauges.push(GaugeSnapshot {
+                name: name.into(),
+                value: 2,
+            });
+        }
+        m.stages.push(StageSnapshot {
+            stage: "worker_queue".into(),
+            count: 1,
+            total_ms: 0.1,
+            mean_us: 100.0,
+            p50_us: 100.0,
+            p99_us: 100.0,
+            max_us: 100.0,
+        });
+        let mut stats = state.stats.serialize_content();
+        let Content::Map(entries) = &mut stats else {
+            panic!("stats serialise as a map");
+        };
+        for name in [
+            "shed_jobs",
+            "worker_panics",
+            "worker_stalls",
+            "stuck_workers",
+            "priority_sheds",
+        ] {
+            entries.push((name.into(), Content::U64(1)));
+        }
+        let mut fields = encode_state_fields(&state);
+        for (id, bytes) in &mut fields {
+            if *id == F_STATS {
+                bytes.clear();
+                binfmt::put_content(bytes, &stats);
+            }
+        }
+        store
+            .write_snapshot_file(200, state.schema_version, SNAP_KIND_FULL, 200, &fields)
+            .unwrap();
+        let (loaded, rejected) = store.load_latest();
+        assert_eq!(rejected, 0);
+        let loaded = loaded.expect("pool-era snapshot loads");
+        assert_eq!(loaded.slot, 200);
+        assert_eq!(loaded.stats.slots, 200);
+        let restored = NrScope::from_state(ScopeConfig::default(), &loaded);
+        assert_eq!(restored.metrics().counter(Counter::SlotsProcessed), 200);
         let _ = fs::remove_dir_all(&dir);
     }
 

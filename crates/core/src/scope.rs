@@ -15,7 +15,7 @@ use crate::spare::{slot_data_res, spare_capacity_excluding, SpareShare, UeUsage}
 use crate::telemetry::TelemetryRecord;
 use crate::throughput::ThroughputEstimator;
 use crate::tracker::{Admission, UeTracker};
-use crate::worker::{JobPriority, PoolStats, SlotJob};
+use crate::worker::SlotJob;
 use nr_phy::dci::{riv_decode, time_alloc, DciFormat, DciSizing};
 use nr_phy::grid::ResourceGrid;
 use nr_phy::mcs::McsTable;
@@ -89,12 +89,6 @@ pub struct ScopeStats {
     pub rrc_skipped: u64,
     /// Slots the front end dropped (overflow or processing stall).
     pub dropped_slots: u64,
-    /// Jobs shed by the worker pool under backpressure (absorbed from
-    /// [`PoolStats`]).
-    pub shed_jobs: u64,
-    /// Worker panics survived by the pool supervisor (absorbed from
-    /// [`PoolStats`]).
-    pub worker_panics: u64,
     /// Slots whose sample layout matched no known carrier configuration.
     pub layout_mismatch_slots: u64,
     /// Transitions back to [`SyncState::Synced`] after degradation.
@@ -114,15 +108,6 @@ pub struct ScopeStats {
     /// Slots processed at each rung, indexed by [`LoadRung`] (Full,
     /// PrunedSearch, BroadcastOnly, Shedding).
     pub slots_at_rung: [u64; 4],
-    /// Workers abandoned by the pool watchdog (absorbed from
-    /// [`PoolStats`]).
-    pub worker_stalls: u64,
-    /// Workers still running when the shutdown join timed out (absorbed
-    /// from [`PoolStats`]).
-    pub stuck_workers: u64,
-    /// Data-priority jobs shed while broadcast jobs were protected
-    /// (absorbed from [`PoolStats`]).
-    pub priority_sheds: u64,
     /// Decode attempts abandoned on malformed state or content — counted
     /// here instead of panicking.
     pub decode_failures: u64,
@@ -174,7 +159,7 @@ pub struct NrScope {
     /// The PCI believed in before sync was lost — tried first when
     /// re-acquiring, since most losses are outages, not cell restarts.
     last_pci: Option<Pci>,
-    /// Pipeline metrics registry, shared with the observer / worker pool.
+    /// Pipeline metrics registry, shared with the observer and radio.
     metrics: Arc<Metrics>,
     /// Overload governor: slot-deadline tracking and the degradation
     /// ladder (Full → PrunedSearch → BroadcastOnly → Shedding).
@@ -241,7 +226,7 @@ impl NrScope {
     }
 
     /// New session recording into an externally owned metrics registry
-    /// (so the observer, radio, and worker pool can share it).
+    /// (so the observer and radio can share it).
     pub fn with_metrics(
         cfg: ScopeConfig,
         assumed_pci: Option<Pci>,
@@ -657,47 +642,19 @@ impl NrScope {
         self.governor.search_budget()
     }
 
-    /// Fold the worker pool's lifetime counters into the session stats.
-    /// Call once, at teardown, with the pool's final numbers.
-    pub fn absorb_pool_stats(&mut self, pool: &PoolStats) {
-        self.stats.shed_jobs += pool.shed_jobs;
-        self.stats.worker_panics += pool.worker_panics;
-        self.stats.priority_sheds += pool.priority_sheds;
-        self.stats.worker_stalls += pool.worker_stalls;
-        self.stats.stuck_workers += pool.stuck_workers;
-    }
-
     /// Package an observed slot as a self-contained [`SlotJob`] snapshot
-    /// of the session's current decoder state, ready for a
-    /// [`crate::WorkerPool`] (the Fig 4 scheduler's "copy of data and
-    /// state"). `None` until the MIB is known.
+    /// of the session's current decoder state and OFDM layout, ready for
+    /// [`crate::worker::process_slot`] (the Fig 4 scheduler's "copy of
+    /// data and state"). `None` until the MIB is known.
     pub fn slot_job(&self, observed: ObservedSlot) -> Option<SlotJob> {
         let ctx = self.decoder_context()?;
-        // Slots that may carry broadcast-critical content — an SSB/MIB, a
-        // RACH response window, or a pending MSG 4 — are queued at
-        // broadcast priority so the pool never sheds them before plain
-        // C-RNTI telemetry work (the never-go-dark invariant).
-        let broadcast_critical = matches!(
-            &observed,
-            ObservedSlot::Message {
-                mib_bits: Some(_),
-                ..
-            }
-        ) || !self.expected_ra_rntis().is_empty()
-            || !self.tracker.pending_tc_rntis().is_empty();
         Some(SlotJob {
-            slot: self.slot,
             slot_in_frame: self.slot_in_frame(),
             observed,
+            ofdm: self.ofdm.clone(),
             ctx,
             hyp: self.hypotheses(),
             dci_threads: self.cfg.dci_threads,
-            fault: None,
-            priority: if broadcast_critical {
-                JobPriority::Broadcast
-            } else {
-                JobPriority::Data
-            },
             budget: self.governor.search_budget(),
         })
     }

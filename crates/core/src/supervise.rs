@@ -52,8 +52,7 @@ pub const CONFIG_FILE: &str = "scope_config.json";
 /// parent's memory.
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
-/// Poll granularity of deadline-bounded reads (matches the worker pool's
-/// prioritised-recv poll).
+/// Poll granularity of deadline-bounded reads.
 const RECV_POLL: Duration = Duration::from_micros(200);
 
 /// Parent → child messages, one JSON object per line on the child's stdin.

@@ -17,6 +17,8 @@
 //! walk timing, overrun gaps) advance through an internal cursor that
 //! recomputes from slot 0 on any backward query, keeping results pure.
 
+use crate::splitmix64;
+
 /// Slots per random-walk epoch: the walk rate changes this often. 64 slots
 /// = 32 ms at µ=1, a plausible thermal time constant scale.
 const WALK_EPOCH_SLOTS: u64 = 64;
@@ -78,13 +80,6 @@ pub struct ClockModel {
     gap_prob: f64,
     gap_max_us: f64,
     cursor: Cursor,
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl ClockModel {

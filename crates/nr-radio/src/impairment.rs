@@ -13,6 +13,7 @@
 //! so a verdict for slot *n* never depends on which other slots were
 //! queried first — resumable and order-independent by construction.
 
+use crate::splitmix64;
 use std::ops::Range;
 
 /// One scheduled interference burst: an SNR penalty over a slot window.
@@ -64,13 +65,6 @@ pub struct ImpairmentSchedule {
     bursts: Vec<Burst>,
     agc_transients: Vec<(u64, f64)>,
     stalls: Vec<(u64, u32)>,
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl ImpairmentSchedule {

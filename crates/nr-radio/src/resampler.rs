@@ -1,6 +1,6 @@
 //! Rational polyphase resampler.
 //!
-//! The paper's tool resamples USRP streams so "the FFT bins [fit] onto the
+//! The paper's tool resamples USRP streams so "the FFT bins \[fit\] onto the
 //! subcarriers" (§4) when the daughterboard's native rate differs from the
 //! OFDM sample rate. This is a windowed-sinc polyphase interpolator for
 //! arbitrary L/M rational ratios.
@@ -123,7 +123,7 @@ impl Resampler {
 
     /// Shift the sampling instant by `frac` input samples (positive =
     /// later). Quantised to the polyphase grid (1/`l` sample steps) and
-    /// clamped to ±[`SLIP_MARGIN`]/2 samples per call so the carried
+    /// clamped to ±`SLIP_MARGIN`/2 samples per call so the carried
     /// history always covers the request. Returns the shift applied.
     pub fn adjust_phase(&mut self, frac: f64) -> f64 {
         let bound = SLIP_MARGIN as f64 / 2.0;

@@ -5,8 +5,7 @@
 
 use nr_scope::gnb::{CellConfig, MultiCellSim};
 use nr_scope::phy::channel::ChannelProfile;
-use nr_scope::scope::fleet::{FaultPlan, Fleet, ShardHealth, ShardSpec};
-use nr_scope::scope::worker::InjectedFault;
+use nr_scope::scope::fleet::{FaultPlan, Fleet, InjectedFault, ShardHealth, ShardSpec};
 use nr_scope::scope::{Capture, FleetConfig, NrScope, PersistConfig, ScopeConfig};
 use nr_scope::ue::traffic::{TrafficKind, TrafficSource};
 use nr_scope::ue::{MobilityScenario, SimUe};

@@ -1,14 +1,12 @@
 //! Integration: the pipeline metrics layer observes every stage when one
-//! registry is shared across the capture path, the scope, and the worker
-//! pool — and records nothing (not even clock reads' results) when
-//! disabled.
+//! registry is shared across the capture path and the scope — and records
+//! nothing (not even clock reads' results) when disabled.
 
 use nr_scope::gnb::{CellConfig, Gnb};
 use nr_scope::mac::RoundRobin;
 use nr_scope::phy::channel::ChannelProfile;
 use nr_scope::scope::metrics::{Metrics, MetricsSnapshot};
 use nr_scope::scope::observe::Observer;
-use nr_scope::scope::worker::{PoolConfig, WorkerPool};
 use nr_scope::scope::{Fidelity, NrScope, ScopeConfig};
 use nr_scope::ue::traffic::{TrafficKind, TrafficSource};
 use nr_scope::ue::{MobilityScenario, SimUe};
@@ -37,8 +35,8 @@ fn loaded_gnb(cell: &CellConfig, n_ues: u64, seed: u64) -> Gnb {
 }
 
 /// Message-fidelity lock-step slots into a shared registry; returns the
-/// live session so the caller can extend the run.
-fn message_run(cell: &CellConfig, slots: u64, metrics: Arc<Metrics>) -> (Gnb, Observer, NrScope) {
+/// session.
+fn message_run(cell: &CellConfig, slots: u64, metrics: Arc<Metrics>) -> NrScope {
     let slot_s = cell.slot_s();
     let mut gnb = loaded_gnb(cell, 2, 11);
     let mut observer = Observer::new(cell, 30.0, false, 7);
@@ -53,7 +51,7 @@ fn message_run(cell: &CellConfig, slots: u64, metrics: Arc<Metrics>) -> (Gnb, Ob
         let observed = observer.observe(&out, s as f64 * slot_s);
         scope.process(&observed);
     }
-    (gnb, observer, scope)
+    scope
 }
 
 #[test]
@@ -63,19 +61,7 @@ fn full_pipeline_populates_at_least_six_stages() {
     let metrics = Metrics::shared(true);
 
     // Message phase: capture, PDCCH search, DCI decode, classify, tracking.
-    let (mut gnb, mut observer, scope) = message_run(&cell, 2000, Arc::clone(&metrics));
-
-    // Pool phase: worker-queue wait on the same registry.
-    let mut pool = WorkerPool::with_metrics(PoolConfig::new(2), Arc::clone(&metrics));
-    for s in 0..200u64 {
-        let out = gnb.step();
-        let observed = observer.observe(&out, (2000 + s) as f64 * slot_s);
-        let job = scope
-            .slot_job(observed)
-            .expect("MIB known after 2000 slots");
-        pool.submit(job).expect("queue open");
-    }
-    assert_eq!(pool.finish().len(), 200);
+    message_run(&cell, 2000, Arc::clone(&metrics));
 
     // IQ phase: radio capture and OFDM demod.
     {
@@ -100,8 +86,8 @@ fn full_pipeline_populates_at_least_six_stages() {
         "demod",
         "pdcch_search",
         "dci_decode",
+        "classify",
         "tracking",
-        "worker_queue",
     ] {
         let s = snap
             .stage(name)
@@ -120,50 +106,11 @@ fn full_pipeline_populates_at_least_six_stages() {
     assert_eq!(back, snap);
 }
 
-/// Regression: the pool used to leave `queue_depth` at its last
-/// submit-time value after shutdown, so a closing snapshot reported
-/// phantom backlog (`queue_depth: 254`) next to `workers_alive: 0`.
-/// Drain must zero the gauge.
-#[test]
-fn pool_shutdown_zeroes_queue_depth_gauge() {
-    let cell = CellConfig::srsran_n41();
-    let slot_s = cell.slot_s();
-    let metrics = Metrics::shared(true);
-    let (mut gnb, mut observer, scope) = message_run(&cell, 2000, Arc::clone(&metrics));
-    let mut pool = WorkerPool::with_metrics(PoolConfig::new(2), Arc::clone(&metrics));
-    for s in 0..200u64 {
-        let out = gnb.step();
-        let observed = observer.observe(&out, (2000 + s) as f64 * slot_s);
-        let job = scope
-            .slot_job(observed)
-            .expect("MIB known after 2000 slots");
-        pool.submit(job).expect("queue open");
-    }
-    // The submit path set queue_depth to the live backlog.
-    let gauge = |snap: &MetricsSnapshot, name: &str| {
-        snap.gauges
-            .iter()
-            .find(|g| g.name == name)
-            .unwrap_or_else(|| panic!("gauge {name} missing"))
-            .value
-    };
-    let (results, _stats, quarantined) = pool.finish_with_stats();
-    assert_eq!(results.len(), 200);
-    assert!(quarantined.is_empty());
-    let snap = metrics.snapshot();
-    assert_eq!(gauge(&snap, "workers_alive"), 0);
-    assert_eq!(
-        gauge(&snap, "queue_depth"),
-        0,
-        "shutdown left a stale queue-depth gauge"
-    );
-}
-
 #[test]
 fn disabled_registry_records_nothing() {
     let cell = CellConfig::srsran_n41();
     let metrics = Metrics::shared(false);
-    let (_, _, scope) = message_run(&cell, 500, Arc::clone(&metrics));
+    let scope = message_run(&cell, 500, Arc::clone(&metrics));
     assert!(!scope.tracked_rntis().is_empty(), "pipeline still works");
     let snap = metrics.snapshot();
     assert!(!snap.enabled);

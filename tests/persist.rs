@@ -78,10 +78,6 @@ fn comparable_session_state(state: &nr_scope::scope::persist::SessionState) -> S
     s.stats.rung_demotions = 0;
     s.stats.rung_promotions = 0;
     s.stats.slots_at_rung = Default::default();
-    s.stats.worker_stalls = 0;
-    s.stats.stuck_workers = 0;
-    s.stats.shed_jobs = 0;
-    s.stats.priority_sheds = 0;
     s.stats.pruned_candidates = 0;
     format!(
         "slot={} cell={} sync={} streak={} stats={} tracker={} throughput={}",
